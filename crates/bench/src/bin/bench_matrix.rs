@@ -251,6 +251,19 @@ fn kernel_ops(b: &Budget, rng: &mut SeedStream) -> Vec<KernelOp> {
             opt_run: Box::new(move || a2.matmul_t(&b2)),
         });
     }
+    // GPT-tiny's per-micro-batch projection (16 rows, hidden 16) at every
+    // budget: the layer-GEMM shape of the pipelined training rows.
+    let s = 16;
+    let a = Arc::new(rng.uniform_matrix(s, s, 1.0));
+    let bm = Arc::new(rng.uniform_matrix(s, s, 1.0));
+    let (a2, b2) = (Arc::clone(&a), Arc::clone(&bm));
+    ops.push(KernelOp {
+        op: "model_gemm_small",
+        shape: format!("{s}x{s}*{s}x{s}"),
+        flops: 2.0 * (s * s * s) as f64,
+        naive_run: Box::new(move || naive::matmul(&a, &bm)),
+        opt_run: Box::new(move || a2.matmul(&b2)),
+    });
     ops
 }
 

@@ -14,13 +14,21 @@
 //! `opt_bench::matrix::gate` for the exact policy and
 //! `reports/bench_allowlist.txt` for the escape hatch.
 //!
+//! Re-baseline gate mode (`--gate-committed <dir>`) applies the same rule
+//! to the baselines themselves: the committed `BENCH_*.json` are the
+//! current side and the records in `<dir>` (the parent commit's) are the
+//! baseline, so a change that commits slower baselines fails unless the
+//! rows or dimensions are named in its own allowlist.
+//!
 //! Knobs:
 //!
 //! * `--repo-root <dir>` — where the committed baselines, `reports/`,
 //!   and `README.md` live (default `.`);
 //! * `--gate <dir>` — gate the `BENCH_*.json` files in `<dir>` against
 //!   the committed baselines instead of rendering;
-//! * `--threshold-pct <p>` — regression threshold for `--gate`
+//! * `--gate-committed <dir>` — gate the committed baselines against the
+//!   older records in `<dir>` instead of rendering;
+//! * `--threshold-pct <p>` — regression threshold for either gate
 //!   (default 15, i.e. median slowdown > 1.15× fails);
 //! * `--check` — render mode only: exit 1 if any output file would
 //!   change (used by CI to prove the committed reports are current).
@@ -108,28 +116,24 @@ fn run_render(root: &Path, check: bool) -> i32 {
     0
 }
 
-fn run_gate(root: &Path, current_dir: &Path, threshold_pct: f64) -> i32 {
-    let baselines = match load_bench_dir(root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error loading baselines from {}: {e}", root.display());
-            return 1;
-        }
+/// Gates the records in `current_dir` against those in `baseline_dir`,
+/// waiving what `root`'s allowlist names.
+fn run_gate(root: &Path, baseline_dir: &Path, current_dir: &Path, threshold_pct: f64) -> i32 {
+    let load = |side: &str, dir: &Path| {
+        load_bench_dir(dir).map_err(|e| {
+            eprintln!("error loading {side} from {}: {e}", dir.display());
+        })
     };
-    let currents = match load_bench_dir(current_dir) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!(
-                "error loading current run from {}: {e}",
-                current_dir.display()
-            );
-            return 1;
-        }
+    let (Ok(baselines), Ok(currents)) = (
+        load("baselines", baseline_dir),
+        load("current run", current_dir),
+    ) else {
+        return 1;
     };
     if baselines.is_empty() {
         eprintln!(
-            "no committed baselines in {} — nothing to gate against",
-            root.display()
+            "no baselines in {} — nothing to gate against",
+            baseline_dir.display()
         );
         return 1;
     }
@@ -159,9 +163,10 @@ fn main() {
     let threshold_pct = value("--threshold-pct")
         .and_then(|v| v.parse().ok())
         .unwrap_or(DEFAULT_THRESHOLD_PCT);
-    let code = match value("--gate") {
-        Some(dir) => run_gate(&root, &PathBuf::from(dir), threshold_pct),
-        None => run_render(&root, check),
+    let code = match (value("--gate"), value("--gate-committed")) {
+        (Some(current), _) => run_gate(&root, &root, &PathBuf::from(current), threshold_pct),
+        (None, Some(parent)) => run_gate(&root, &PathBuf::from(parent), &root, threshold_pct),
+        (None, None) => run_render(&root, check),
     };
     std::process::exit(code);
 }

@@ -44,8 +44,8 @@ fn arg_u64(args: &Json, key: &str) -> Result<u64, String> {
 }
 
 /// Collects the `kernel_paths` metadata event the exporter emits: the
-/// `{arch}/{dense|sparse}` kernel paths (with invocation counts) the
-/// exporting process actually exercised. Absent in traces written before
+/// `{arch}/{packed|skinny|swapped|sparse}` loop nests (with invocation
+/// counts) the exporting process actually executed. Absent in traces written before
 /// the event existed, so an empty result is not an error.
 fn kernel_paths(doc: &Json) -> Vec<(String, u64)> {
     let mut out = Vec::new();

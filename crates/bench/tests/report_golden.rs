@@ -159,3 +159,57 @@ fn committed_repo_baselines_parse_and_render() {
         render_trajectory(&t);
     }
 }
+
+/// Runs `bench_report --repo-root <root> --gate-committed <parent>` and
+/// returns whether it passed.
+fn gate_committed(root: &Path, parent: &Path) -> bool {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bench_report"))
+        .arg("--repo-root")
+        .arg(root)
+        .arg("--gate-committed")
+        .arg(parent)
+        .output()
+        .expect("running bench_report");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("overall:"), "verdict printed: {stdout}");
+    out.status.success()
+}
+
+#[test]
+fn rebaseline_gate_trips_on_slower_committed_baselines() {
+    // Committed records equal to the parent's pass; committing the
+    // regressed fixture over the base one fails on alpha.
+    assert!(gate_committed(
+        &fixtures().join("base"),
+        &fixtures().join("base")
+    ));
+    assert!(!gate_committed(
+        &fixtures().join("regressed"),
+        &fixtures().join("base")
+    ));
+    // Faster than the parent passes: the rule only looks one way.
+    assert!(gate_committed(
+        &fixtures().join("base"),
+        &fixtures().join("regressed")
+    ));
+}
+
+#[test]
+fn rebaseline_gate_honours_the_committed_allowlist() {
+    // A change that re-baselines alpha slower passes once its own
+    // allowlist names the dimension.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("rebaseline-allowlisted");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("reports")).expect("temp repo root");
+    for entry in std::fs::read_dir(fixtures().join("regressed")).expect("fixtures") {
+        let path = entry.expect("fixture entry").path();
+        std::fs::copy(&path, root.join(path.file_name().expect("file name"))).expect("copy");
+    }
+    assert!(!gate_committed(&root, &fixtures().join("base")));
+    std::fs::write(
+        root.join("reports/bench_allowlist.txt"),
+        "# alpha re-baselined slower on purpose\nalpha\n",
+    )
+    .expect("allowlist");
+    assert!(gate_committed(&root, &fixtures().join("base")));
+}

@@ -21,8 +21,8 @@
 //! fallback emulates with [`f32::mul_add`]. `tests/kernel_equivalence.rs`
 //! enforces the contract across every path the host can run.
 //!
-//! The module also keeps per-`{arch, dense/sparse}` invocation counters so
-//! a trace export can show which kernel paths a run actually exercised
+//! The module also keeps per-`{arch, loop nest}` invocation counters so a
+//! trace export can show which kernel paths a run actually exercised
 //! (see [`kernel_path_counts`]).
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -182,43 +182,52 @@ pub fn kernel_arch_name() -> String {
 // Kernel-path invocation counters
 // ---------------------------------------------------------------------------
 
-/// Process-wide invocation counters, one per `{arch, dense|sparse}` pair
-/// (indexed `[arch][kind]`). "Dense" counts GEMM driver entries under the
-/// selected arch (including the small-problem scalar shortcut — the
-/// counter records the *dispatch choice*, not the loop nest that won);
-/// "sparse" counts SpMM / sparse-AXPY kernel entries.
-static PATH_COUNTS: [[AtomicU64; 2]; 3] = [
-    [AtomicU64::new(0), AtomicU64::new(0)],
-    [AtomicU64::new(0), AtomicU64::new(0)],
-    [AtomicU64::new(0), AtomicU64::new(0)],
-];
-
-pub(crate) fn note_dense_kernel(arch: KernelArch) {
-    PATH_COUNTS[arch.index()][0].fetch_add(1, Ordering::Relaxed);
+/// The loop nest a kernel entry ran: the three GEMM drivers in
+/// `gemm.rs` (recorded where the driver picks one) and the sparse
+/// SpMM / sparse-AXPY kernels.
+#[derive(Clone, Copy)]
+pub(crate) enum KernelPath {
+    /// Packed-B GEMM over row micro-panels (general shapes).
+    Packed,
+    /// Few-row GEMM streaming a row-major B.
+    Skinny,
+    /// Tall-skinny `A^T B` computed as `(B^T A)^T` on the skinny nest.
+    Swapped,
+    /// Sparse kernels (`sparse.rs`).
+    Sparse,
 }
 
-pub(crate) fn note_sparse_kernel(arch: KernelArch) {
-    PATH_COUNTS[arch.index()][1].fetch_add(1, Ordering::Relaxed);
+/// Counter names, indexed by `KernelPath as usize`.
+const PATH_NAMES: [&str; 4] = ["packed", "skinny", "swapped", "sparse"];
+
+/// Every arch, in `KernelArch::index` order.
+const ARCHES: [KernelArch; 3] = [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Neon];
+
+/// Process-wide invocation counters, one per `{arch, loop nest}` pair
+/// (indexed `[arch][path]`), each bumped once per kernel entry under the
+/// arch that entry dispatched to.
+static PATH_COUNTS: [[AtomicU64; PATH_NAMES.len()]; ARCHES.len()] =
+    [const { [const { AtomicU64::new(0) }; PATH_NAMES.len()] }; ARCHES.len()];
+
+pub(crate) fn note_kernel(arch: KernelArch, path: KernelPath) {
+    PATH_COUNTS[arch.index()][path as usize].fetch_add(1, Ordering::Relaxed);
 }
 
 /// Snapshot of the per-path invocation counters:
-/// `(arch name, "dense"|"sparse", invocations)` for all six pairs, in a
-/// fixed order. Counters are process-global and monotonic; consumers
-/// (the Chrome-trace exporter, `trace_report`) typically show only the
-/// nonzero entries.
-pub fn kernel_path_counts() -> [(&'static str, &'static str, u64); 6] {
-    let arches = [KernelArch::Scalar, KernelArch::Avx2, KernelArch::Neon];
-    let mut out = [("", "", 0u64); 6];
-    for (i, arch) in arches.iter().enumerate() {
-        for (j, path) in ["dense", "sparse"].iter().enumerate() {
-            out[i * 2 + j] = (
-                arch.name(),
-                path,
-                PATH_COUNTS[arch.index()][j].load(Ordering::Relaxed),
-            );
-        }
-    }
-    out
+/// `(arch name, "packed"|"skinny"|"swapped"|"sparse", invocations)` for
+/// all twelve pairs, arch-major in a fixed order. Counters are
+/// process-global and monotonic; consumers (the Chrome-trace exporter,
+/// `trace_report`) typically show only the nonzero entries.
+pub fn kernel_path_counts() -> [(&'static str, &'static str, u64); ARCHES.len() * PATH_NAMES.len()]
+{
+    std::array::from_fn(|i| {
+        let (arch, path) = (i / PATH_NAMES.len(), i % PATH_NAMES.len());
+        (
+            ARCHES[arch].name(),
+            PATH_NAMES[path],
+            PATH_COUNTS[arch][path].load(Ordering::Relaxed),
+        )
+    })
 }
 
 /// Resets the invocation counters to zero (tests).
@@ -262,10 +271,12 @@ mod tests {
     #[test]
     fn path_counts_enumerate_all_pairs() {
         let counts = kernel_path_counts();
-        assert_eq!(counts.len(), 6);
+        assert_eq!(counts.len(), 12);
         assert_eq!(counts[0].0, "scalar");
-        assert_eq!(counts[0].1, "dense");
-        assert_eq!(counts[5].0, "neon");
-        assert_eq!(counts[5].1, "sparse");
+        assert_eq!(counts[0].1, "packed");
+        assert_eq!(counts[1].1, "skinny");
+        assert_eq!(counts[2].1, "swapped");
+        assert_eq!(counts[11].0, "neon");
+        assert_eq!(counts[11].1, "sparse");
     }
 }

@@ -14,11 +14,12 @@
 //!   packed whole, B is read directly as contiguous row slivers (packing a
 //!   64 MB gradient to multiply it by a rank-8 factor would dominate), and
 //!   workers own disjoint column-panel ranges;
-//! * a **plain loop nest** below a FLOP threshold where packing overhead
-//!   would dominate.
+//! * the **swapped path** for tall-skinny `A^T B` (PowerSGD
+//!   `Q = G^T P`), rewritten as `(B^T A)^T` so every memory walk is over
+//!   contiguous rows; the product itself runs on the skinny path.
 //!
-//! Tall-skinny `A^T B` (PowerSGD `Q = G^T P`) is rewritten as `(B^T A)^T`
-//! so every memory walk is over contiguous rows.
+//! Every shape, however small, takes one of these three; which one ran is
+//! counted per arch (see [`crate::kernel_path_counts`]).
 //!
 //! The micro-kernels themselves are architecture-dispatched (see
 //! [`crate::dispatch`]): AVX2+FMA on x86_64, NEON on aarch64, and a
@@ -51,7 +52,7 @@
 //! oracle. The retained seed kernels in [`crate::naive`] use *unfused*
 //! multiply-then-add and are only a benchmark baseline, not an oracle.
 
-use crate::dispatch;
+use crate::dispatch::{self, KernelPath};
 use crate::pool;
 use crate::simd;
 use std::cell::RefCell;
@@ -70,11 +71,6 @@ const SKINNY_PANELS_M: usize = 2;
 /// `k`-chunk length of the skinny path: small enough that a worker's
 /// whole packed-B chunk (`panels * SKC * NR` floats) stays L2-resident.
 const SKC: usize = 64;
-
-/// Below this much work (`2*m*n*k` FLOPs) the packed path's overhead is
-/// not worth it and a plain loop nest (same accumulation order) runs
-/// instead.
-const SMALL_FLOPS: usize = 32 * 1024;
 
 /// How a GEMM operand is stored relative to its logical orientation.
 #[derive(Clone, Copy)]
@@ -118,45 +114,35 @@ pub(crate) fn gemm_into(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, ou
     if m == 0 || n == 0 {
         return;
     }
-    dispatch::note_dense_kernel(dispatch::kernel_arch());
+    let arch = dispatch::kernel_arch();
     let work = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if work < SMALL_FLOPS {
-        return gemm_small(a, b, m, n, k, out);
-    }
-    // Tall-skinny `A^T B` (the PowerSGD `Q = G^T P` shape): reading A
-    // through the transpose touches one cache line per element. Compute
-    // `(B^T A)^T` instead — then *both* operands are walked along
-    // contiguous rows — and transpose the small result at the end.
-    if let (Src::Transposed(da), Src::Normal(db)) = (a, b) {
-        if m >= 4 * n && n.div_ceil(MR) <= SKINNY_PANELS_M {
-            return TSCRATCH.with(|t| {
+    match (a, b) {
+        // Tall-skinny `A^T B` (the PowerSGD `Q = G^T P` shape): reading A
+        // through the transpose touches one cache line per element.
+        // Compute `(B^T A)^T` instead — then *both* operands are walked
+        // along contiguous rows — and transpose the small result at the
+        // end.
+        (Src::Transposed(da), Src::Normal(db))
+            if m >= 4 * n && n.div_ceil(MR) <= SKINNY_PANELS_M =>
+        {
+            dispatch::note_kernel(arch, KernelPath::Swapped);
+            TSCRATCH.with(|t| {
                 let mut tmp = t.borrow_mut();
                 tmp.clear();
                 tmp.resize(n * m, 0.0);
-                dispatch(
-                    Src::Transposed(db),
-                    Src::Normal(da),
-                    n,
-                    m,
-                    k,
-                    work,
-                    &mut tmp,
-                );
+                gemm_skinny(Src::Transposed(db), da, n, m, k, work, &mut tmp);
                 transpose_into(&tmp, n, m, out);
             });
         }
-    }
-    dispatch(a, b, m, n, k, work, out);
-}
-
-/// Picks skinny vs packed for an already-size-screened problem.
-fn dispatch(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, work: usize, out: &mut [f32]) {
-    if let Src::Normal(db) = b {
-        if m.div_ceil(MR) <= SKINNY_PANELS_M {
-            return gemm_skinny(a, db, m, n, k, work, out);
+        (_, Src::Normal(db)) if m.div_ceil(MR) <= SKINNY_PANELS_M => {
+            dispatch::note_kernel(arch, KernelPath::Skinny);
+            gemm_skinny(a, db, m, n, k, work, out);
+        }
+        _ => {
+            dispatch::note_kernel(arch, KernelPath::Packed);
+            gemm_packed(a, b, m, n, k, work, out);
         }
     }
-    gemm_packed(a, b, m, n, k, work, out);
 }
 
 /// FLOPs a worker thread must have to justify its spawn cost when the
@@ -525,72 +511,6 @@ fn pack_b(b: Src<'_>, n: usize, k: usize, panels_n: usize, bpack: &mut [f32]) {
     }
 }
 
-/// Plain loop nests for small problems. Every output element is the same
-/// ascending-`k` fused chain as the micro-kernels (`f32::mul_add` is the
-/// contract's scalar form), so this path is bit-identical to the packed
-/// path on every architecture — which is why it needs no arch dispatch of
-/// its own.
-fn gemm_small(a: Src<'_>, b: Src<'_>, m: usize, n: usize, k: usize, out: &mut [f32]) {
-    out.fill(0.0);
-    match (a, b) {
-        (Src::Normal(da), Src::Normal(db)) => {
-            // i-k-j: contiguous AXPY over the output row.
-            for i in 0..m {
-                let arow = &da[i * k..(i + 1) * k];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (kk, &av) in arow.iter().enumerate() {
-                    let brow = &db[kk * n..(kk + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o = av.mul_add(bv, *o);
-                    }
-                }
-            }
-        }
-        (Src::Transposed(da), Src::Normal(db)) => {
-            // k-i-j over the k x m storage of A'.
-            for kk in 0..k {
-                let arow = &da[kk * m..(kk + 1) * m];
-                let brow = &db[kk * n..(kk + 1) * n];
-                for (i, &av) in arow.iter().enumerate() {
-                    let orow = &mut out[i * n..(i + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o = av.mul_add(bv, *o);
-                    }
-                }
-            }
-        }
-        (Src::Normal(da), Src::Transposed(db)) => {
-            // i-j-k: contiguous dot products (a per-element chain, not the
-            // lane-split reduction — that contract applies only to the
-            // Gram–Schmidt dots in `linalg.rs`).
-            for i in 0..m {
-                let arow = &da[i * k..(i + 1) * k];
-                for j in 0..n {
-                    let brow = &db[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in arow.iter().zip(brow) {
-                        acc = av.mul_add(bv, acc);
-                    }
-                    out[i * n + j] = acc;
-                }
-            }
-        }
-        (Src::Transposed(da), Src::Transposed(db)) => {
-            // Not reachable from the public API (no `t_matmul_t`), kept
-            // total for completeness.
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc = da[kk * m + i].mul_add(db[j * k + kk], acc);
-                    }
-                    out[i * n + j] = acc;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,16 +527,21 @@ mod tests {
         }
     }
 
-    fn small_reference(a: &Matrix, b: &Matrix, m: usize, n: usize, k: usize) -> Vec<f32> {
+    /// The contract spelled out: one `mul_add` chain per output element
+    /// over ascending `k`.
+    fn fma_chain_oracle(a: &Matrix, b: &Matrix) -> Vec<f32> {
+        let (m, k) = a.shape();
+        let n = b.cols();
         let mut out = vec![0.0; m * n];
-        gemm_small(
-            Src::Normal(a.as_slice()),
-            Src::Normal(b.as_slice()),
-            m,
-            n,
-            k,
-            &mut out,
-        );
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc = a[(i, kk)].mul_add(b[(kk, j)], acc);
+                }
+                out[i * n + j] = acc;
+            }
+        }
         out
     }
 
@@ -637,7 +562,7 @@ mod tests {
                 let mut rng = SeedStream::new((m * 1000 + n * 100 + k) as u64);
                 let a = rng.uniform_matrix(m, k, 1.0);
                 let b = rng.uniform_matrix(k, n, 1.0);
-                let reference = small_reference(&a, &b, m, n, k);
+                let reference = fma_chain_oracle(&a, &b);
                 let mut got = vec![0.0; m * n];
                 gemm_packed(
                     Src::Normal(a.as_slice()),
@@ -662,7 +587,7 @@ mod tests {
                 let mut rng = SeedStream::new((m * 1000 + n * 100 + k) as u64);
                 let a = rng.uniform_matrix(m, k, 1.0);
                 let b = rng.uniform_matrix(k, n, 1.0);
-                let reference = small_reference(&a, &b, m, n, k);
+                let reference = fma_chain_oracle(&a, &b);
                 let mut got = vec![0.0; m * n];
                 gemm_skinny(
                     Src::Normal(a.as_slice()),

@@ -58,7 +58,5 @@ pub use pool::{
     host_parallelism, kernel_threads, parallel_flop_threshold, set_kernel_threads,
     set_parallel_flop_threshold, MAX_KERNEL_THREADS,
 };
-pub use sparse::{
-    set_sparse_density_max, sparse_density_max, SparseMatrix, DEFAULT_DENSITY_MAX,
-};
+pub use sparse::{set_sparse_density_max, sparse_density_max, SparseMatrix, DEFAULT_DENSITY_MAX};
 pub use stats::{cosine_similarity, frobenius_norm, mean, relative_error};

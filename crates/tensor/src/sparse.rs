@@ -220,7 +220,7 @@ impl SparseMatrix {
     /// Panics if `target`'s shape differs.
     pub fn sub_from(&self, target: &mut Matrix) {
         assert_eq!(target.shape(), (self.rows, self.cols), "shape mismatch");
-        dispatch::note_sparse_kernel(dispatch::kernel_arch());
+        dispatch::note_kernel(dispatch::kernel_arch(), dispatch::KernelPath::Sparse);
         let data = target.as_mut_slice();
         for r in 0..self.rows {
             let (s, e) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
@@ -245,7 +245,7 @@ impl SparseMatrix {
         assert_eq!(b.rows(), self.cols, "inner dimension mismatch");
         assert_eq!(out.shape(), (self.rows, b.cols()), "output shape mismatch");
         let arch = dispatch::kernel_arch();
-        dispatch::note_sparse_kernel(arch);
+        dispatch::note_kernel(arch, dispatch::KernelPath::Sparse);
         let n = b.cols();
         let bdata = b.as_slice();
         let odata = out.as_mut_slice();

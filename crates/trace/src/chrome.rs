@@ -56,8 +56,9 @@ impl Trace {
     ///
     /// One extra `"M"` metadata event named `kernel_paths` (pid 0)
     /// records the *exporting* process's nonzero
-    /// [`opt_tensor::kernel_path_counts`] — which `{arch, dense|sparse}`
-    /// kernel paths the run actually exercised. In a multi-process run
+    /// [`opt_tensor::kernel_path_counts`] — which
+    /// `{arch}/{packed|skinny|swapped|sparse}` loop nests the run actually
+    /// executed. In a multi-process run
     /// the counters are per-process, so the event describes the process
     /// that merged and exported the trace.
     pub fn to_chrome_json(&self) -> String {
@@ -198,16 +199,17 @@ mod tests {
 
     #[test]
     fn chrome_json_reports_exercised_kernel_paths() {
-        // Drive at least one dense kernel through the dispatcher so the
-        // exporting process has a nonzero counter to report.
+        // Drive at least one GEMM through the dispatcher so the exporting
+        // process has a nonzero counter to report; three output rows take
+        // the skinny loop nest.
         let a = opt_tensor::Matrix::full(3, 3, 1.0);
         let _ = a.matmul(&a);
         let json = Trace::merge(vec![buffer(0, &[0])]).to_chrome_json();
         assert!(json.contains("\"name\": \"kernel_paths\""));
         let arch = opt_tensor::kernel_arch().name();
         assert!(
-            json.contains(&format!("\"{arch}/dense\":")),
-            "kernel_paths event missing {arch}/dense in {json}"
+            json.contains(&format!("\"{arch}/skinny\":")),
+            "kernel_paths event missing {arch}/skinny in {json}"
         );
     }
 }
