@@ -45,6 +45,7 @@ use opt_bench::matrix::{
 use opt_compress::{
     Compressed, Compressor, Identity, PowerSgd, TernaryQuantizer, TopK, FP16_BYTES,
 };
+use opt_model::{Gelu, Layer, LayerNorm, Linear, MultiHeadAttention};
 use opt_net::{LocalTransport, ShardStore, ShardStoreServer, TrafficClass, Transport};
 use opt_sim::{simulate, CkptCostModel, CompressionPlan, SimConfig, StoreTransport};
 use opt_tensor::{
@@ -394,7 +395,7 @@ fn tiny_cfg(quality: QualityConfig) -> TrainerConfig {
 }
 
 /// The model-size axis: tiny and small trainable configs, priced against
-/// their paper-scale analogs.
+/// their paper-scale analogs, plus GPT-small's per-layer rows.
 fn run_model(b: &Budget) -> BenchFile {
     opt_bench::banner("dimension: model (trainable sizes, priced at paper scale)");
     let points = [
@@ -430,11 +431,63 @@ fn run_model(b: &Budget) -> BenchFile {
             metrics,
         });
     }
+    rows.extend(layer_rows(b));
     print_dimension_table(&rows);
     BenchFile {
         meta: meta(b, "model", 1),
         rows,
     }
+}
+
+/// Per-layer rows at GPT-small's micro-batch shape (micro-batch 4 x seq 16
+/// = 64 rows of hidden 32; GELU sees the 4x-hidden MLP width): each timed
+/// call is one forward plus one backward, so a regression in one layer
+/// shows up in the committed matrix even when the training rows hide it.
+fn layer_rows(b: &Budget) -> Vec<Row> {
+    let cfg = TrainerConfig::small_test(QualityConfig::cb_fe_sc(), 1);
+    let m = &cfg.model;
+    let tokens = cfg.micro_batch * m.seq_len;
+    let mut rng = SeedStream::new(0x1A7E);
+    let layers: Vec<(&str, Box<dyn Layer>, usize)> = vec![
+        ("ln", Box::new(LayerNorm::new(m.hidden)), m.hidden),
+        ("gelu", Box::new(Gelu::new()), 4 * m.hidden),
+        (
+            "attn",
+            Box::new(MultiHeadAttention::new(
+                m.hidden, m.heads, m.seq_len, &mut rng,
+            )),
+            m.hidden,
+        ),
+        (
+            "fc1",
+            Box::new(Linear::new(m.hidden, 4 * m.hidden, &mut rng)),
+            m.hidden,
+        ),
+    ];
+    single_thread();
+    let mut rows = Vec::new();
+    for (name, mut layer, width) in layers {
+        let x = rng.uniform_matrix(tokens, width, 1.0);
+        let y = layer.forward(&x);
+        let g = rng.uniform_matrix(y.rows(), y.cols(), 1.0);
+        layer.backward(&g);
+        let ns = time_best_ns(b.warmup, b.reps, || {
+            std::hint::black_box(layer.forward(&x));
+            std::hint::black_box(layer.backward(&g));
+        });
+        let shape = format!("{tokens}x{width}");
+        rows.push(Row {
+            label: format!("{}/{name}", m.name),
+            config: vec![
+                ("model".to_string(), m.name.clone()),
+                ("layer".to_string(), name.to_string()),
+                ("shape".to_string(), shape),
+            ],
+            best_ns: ns,
+            metrics: Vec::new(),
+        });
+    }
+    rows
 }
 
 /// Trace-derived pipeline stats for a config: a *separate* spans-mode run

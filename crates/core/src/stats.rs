@@ -161,16 +161,9 @@ impl Collector {
 
     /// Aggregates the raw samples into a [`TrainReport`].
     pub fn into_report(self, iters: u64, traffic: TrafficBreakdown) -> TrainReport {
-        let inner = Arc::try_unwrap(self.inner)
-            .map(Mutex::into_inner)
-            .unwrap_or_else(|arc| {
-                let guard = arc.lock();
-                CollectorInner {
-                    train_samples: guard.train_samples.clone(),
-                    val_samples: guard.val_samples.clone(),
-                    error_stats: guard.error_stats.clone(),
-                }
-            });
+        // Read the samples in place: a copy of them would double the
+        // collector's footprint, which grows with every iteration trained.
+        let inner = self.inner.lock();
         // Samples arrive in thread-scheduling order; sort before summing
         // so the floating-point reduction is identical across runs. This
         // is what lets the checkpoint tests assert *bit-equal* losses
@@ -197,7 +190,7 @@ impl Collector {
         // rank-merge) order; each (iter, stage) subsequence comes from a
         // single worker in micro order, so a stable key sort makes the
         // final vector identical however the worlds interleaved.
-        let mut error_stats = inner.error_stats;
+        let mut error_stats = inner.error_stats.clone();
         error_stats.sort_by_key(|p| (p.iter, p.stage));
         let mut val_iters: Vec<u64> = inner.val_samples.iter().map(|(i, _)| *i).collect();
         val_iters.sort_unstable();

@@ -120,23 +120,22 @@ impl LayerNorm {
 impl Layer for LayerNorm {
     fn forward(&mut self, x: &Matrix) -> Matrix {
         let (rows, cols) = x.shape();
+        let gamma = self.gamma.row(0);
+        let beta = self.beta.row(0);
         let mut xhat = Matrix::zeros(rows, cols);
+        let mut y = Matrix::zeros(rows, cols);
         let mut inv_stds = Vec::with_capacity(rows);
         for r in 0..rows {
             let row = x.row(r);
             let mean = row.iter().sum::<f32>() / cols as f32;
             let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
             let inv_std = 1.0 / (var + self.eps).sqrt();
-            for (c, &v) in row.iter().enumerate() {
-                xhat[(r, c)] = (v - mean) * inv_std;
+            let out = xhat.row_mut(r).iter_mut().zip(y.row_mut(r));
+            for (((h, o), &v), (&g, &b)) in out.zip(row).zip(gamma.iter().zip(beta)) {
+                *h = (v - mean) * inv_std;
+                *o = *h * g + b;
             }
             inv_stds.push(inv_std);
-        }
-        let mut y = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                y[(r, c)] = xhat[(r, c)] * self.gamma[(0, c)] + self.beta[(0, c)];
-            }
         }
         self.cache.push_back((xhat, inv_stds));
         y
@@ -149,22 +148,30 @@ impl Layer for LayerNorm {
             .expect("LayerNorm::backward without forward");
         let (rows, cols) = grad_out.shape();
         let n = cols as f32;
+        let gamma = self.gamma.row(0);
+        let grad_gamma = self.grad_gamma.row_mut(0);
+        let grad_beta = self.grad_beta.row_mut(0);
         let mut dx = Matrix::zeros(rows, cols);
+        let mut dxhat = vec![0.0f32; cols];
+        // Rows in ascending order, so each parameter-gradient element
+        // accumulates its per-row terms in row order.
         for r in 0..rows {
-            // dxhat = grad_out * gamma
-            let mut dxhat = vec![0.0f32; cols];
-            for c in 0..cols {
-                let g = grad_out[(r, c)];
-                dxhat[c] = g * self.gamma[(0, c)];
-                self.grad_gamma[(0, c)] += g * xhat[(r, c)];
-                self.grad_beta[(0, c)] += g;
+            let g_row = grad_out.row(r);
+            let h_row = xhat.row(r);
+            for ((d, &g), &gm) in dxhat.iter_mut().zip(g_row).zip(gamma) {
+                *d = g * gm;
+            }
+            for ((acc, &g), &h) in grad_gamma.iter_mut().zip(g_row).zip(h_row) {
+                *acc += g * h;
+            }
+            for (acc, &g) in grad_beta.iter_mut().zip(g_row) {
+                *acc += g;
             }
             let sum_dxhat: f32 = dxhat.iter().sum();
-            let sum_dxhat_xhat: f32 = dxhat.iter().zip(xhat.row(r)).map(|(&d, &h)| d * h).sum();
+            let sum_dxhat_xhat: f32 = dxhat.iter().zip(h_row).map(|(&d, &h)| d * h).sum();
             let inv_std = inv_stds[r];
-            for c in 0..cols {
-                dx[(r, c)] =
-                    inv_std / n * (n * dxhat[c] - sum_dxhat - xhat[(r, c)] * sum_dxhat_xhat);
+            for ((o, &d), &h) in dx.row_mut(r).iter_mut().zip(&dxhat).zip(h_row) {
+                *o = inv_std / n * (n * d - sum_dxhat - h * sum_dxhat_xhat);
             }
         }
         dx
@@ -195,6 +202,10 @@ impl Layer for LayerNorm {
 }
 
 /// GeLU activation (tanh approximation, as in GPT-2/Megatron).
+///
+/// Forward computes `gelu(x)` and `gelu'(x)` from one `tanh` per element
+/// and caches the derivative `dgelu(x)` (not `x`), so backward is a single
+/// Hadamard product.
 #[derive(Debug, Default)]
 pub struct Gelu {
     cache: VecDeque<Matrix>,
@@ -206,33 +217,34 @@ impl Gelu {
         Self::default()
     }
 
-    fn gelu(x: f32) -> f32 {
+    /// `(gelu(x), dgelu(x))`, sharing the one `tanh`.
+    #[inline]
+    fn gelu_and_grad(x: f32) -> (f32, f32) {
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
-    }
-
-    fn dgelu(x: f32) -> f32 {
-        const C: f32 = 0.797_884_6;
-        let x3 = 0.044715 * x * x * x;
-        let t = (C * (x + x3)).tanh();
+        let t = (C * (x + 0.044715 * x * x * x)).tanh();
         let sech2 = 1.0 - t * t;
-        0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
+        (
+            0.5 * x * (1.0 + t),
+            0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x),
+        )
     }
 }
 
 impl Layer for Gelu {
     fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.cache.push_back(x.clone());
-        x.map(Self::gelu)
+        let (y, d): (Vec<f32>, Vec<f32>) =
+            x.as_slice().iter().map(|&v| Self::gelu_and_grad(v)).unzip();
+        self.cache
+            .push_back(Matrix::from_vec(x.rows(), x.cols(), d));
+        Matrix::from_vec(x.rows(), x.cols(), y)
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self
+        let d = self
             .cache
             .pop_front()
             .expect("Gelu::backward without forward");
-        let dact = x.map(Self::dgelu);
-        grad_out.hadamard(&dact)
+        grad_out.hadamard(&d)
     }
 
     fn params(&mut self) -> Vec<ParamRef<'_>> {
@@ -413,16 +425,183 @@ mod tests {
     #[test]
     fn gelu_matches_reference_points() {
         // gelu(0) = 0, gelu(large) ~ large, gelu(-large) ~ 0.
-        assert_eq!(Gelu::gelu(0.0), 0.0);
-        assert!((Gelu::gelu(5.0) - 5.0).abs() < 1e-3);
-        assert!(Gelu::gelu(-5.0).abs() < 1e-3);
+        let gelu = |x| Gelu::gelu_and_grad(x).0;
+        assert_eq!(gelu(0.0), 0.0);
+        assert!((gelu(5.0) - 5.0).abs() < 1e-3);
+        assert!(gelu(-5.0).abs() < 1e-3);
         // Known value: gelu(1.0) ~ 0.8412
-        assert!((Gelu::gelu(1.0) - 0.8412).abs() < 1e-3);
+        assert!((gelu(1.0) - 0.8412).abs() < 1e-3);
     }
 
     #[test]
     fn gelu_input_gradient_matches_finite_difference() {
         check_input_gradient(Gelu::new, 2, 5, 1e-2);
+    }
+
+    // Reference implementations: index-based GeLU (value and derivative
+    // each with their own `tanh`) and LayerNorm, written element by
+    // element. The layers must match them bit for bit.
+
+    fn ref_gelu(x: f32) -> f32 {
+        const C: f32 = 0.797_884_6;
+        0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    }
+
+    fn ref_dgelu(x: f32) -> f32 {
+        const C: f32 = 0.797_884_6;
+        let x3 = 0.044715 * x * x * x;
+        let t = (C * (x + x3)).tanh();
+        let sech2 = 1.0 - t * t;
+        0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
+    }
+
+    /// Returns `(y, xhat, inv_stds)`.
+    fn ref_ln_forward(
+        x: &Matrix,
+        gamma: &Matrix,
+        beta: &Matrix,
+        eps: f32,
+    ) -> (Matrix, Matrix, Vec<f32>) {
+        let (rows, cols) = x.shape();
+        let mut xhat = Matrix::zeros(rows, cols);
+        let mut inv_stds = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let row = x.row(r);
+            let mean = row.iter().sum::<f32>() / cols as f32;
+            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
+            let inv_std = 1.0 / (var + eps).sqrt();
+            for (c, &v) in row.iter().enumerate() {
+                xhat[(r, c)] = (v - mean) * inv_std;
+            }
+            inv_stds.push(inv_std);
+        }
+        let mut y = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                y[(r, c)] = xhat[(r, c)] * gamma[(0, c)] + beta[(0, c)];
+            }
+        }
+        (y, xhat, inv_stds)
+    }
+
+    fn ref_ln_backward(
+        grad_out: &Matrix,
+        (xhat, inv_stds): &(Matrix, Vec<f32>),
+        gamma: &Matrix,
+        grad_gamma: &mut Matrix,
+        grad_beta: &mut Matrix,
+    ) -> Matrix {
+        let (rows, cols) = grad_out.shape();
+        let n = cols as f32;
+        let mut dx = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            let mut dxhat = vec![0.0f32; cols];
+            for c in 0..cols {
+                let g = grad_out[(r, c)];
+                dxhat[c] = g * gamma[(0, c)];
+                grad_gamma[(0, c)] += g * xhat[(r, c)];
+                grad_beta[(0, c)] += g;
+            }
+            let sum_dxhat: f32 = dxhat.iter().sum();
+            let sum_dxhat_xhat: f32 = dxhat.iter().zip(xhat.row(r)).map(|(&d, &h)| d * h).sum();
+            let inv_std = inv_stds[r];
+            for c in 0..cols {
+                dx[(r, c)] =
+                    inv_std / n * (n * dxhat[c] - sum_dxhat - xhat[(r, c)] * sum_dxhat_xhat);
+            }
+        }
+        dx
+    }
+
+    fn assert_same_bits(label: &str, got: &Matrix, want: &Matrix) {
+        assert_eq!(got.shape(), want.shape(), "{label}: shape");
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{label}[{i}]: {g} vs {w}");
+        }
+    }
+
+    const ORACLE_SHAPES: [(usize, usize); 4] = [(16, 16), (16, 64), (64, 32), (64, 128)];
+
+    /// Random values with `0.0`, `-0.0` and ±10 (tanh saturates) planted
+    /// at spread-out positions, plus one all-zero row when there are
+    /// several rows (LayerNorm's zero-variance case).
+    fn oracle_input(rng: &mut SeedStream, rows: usize, cols: usize) -> Matrix {
+        let mut x = rng.uniform_matrix(rows, cols, 3.0);
+        let specials = [0.0, -0.0, 10.0, -10.0];
+        let len = x.len();
+        for (k, i) in (0..len).step_by(7).enumerate() {
+            x.as_mut_slice()[i] = specials[k % specials.len()];
+        }
+        if rows > 1 {
+            x.row_mut(rows - 1).fill(-0.0);
+        }
+        x
+    }
+
+    /// Forward (`true`) / backward (`false`) on micro-batch `i`: two in
+    /// flight drained FIFO, then a third, so parameter gradients
+    /// accumulate over three backward calls.
+    const ORACLE_SCHEDULE: [(bool, usize); 6] = [
+        (true, 0),
+        (true, 1),
+        (false, 0),
+        (false, 1),
+        (true, 2),
+        (false, 2),
+    ];
+
+    #[test]
+    fn gelu_matches_index_based_oracle_bit_for_bit() {
+        let mut rng = SeedStream::new(13);
+        for (rows, cols) in ORACLE_SHAPES {
+            let mut layer = Gelu::new();
+            let xs: Vec<Matrix> = (0..3).map(|_| oracle_input(&mut rng, rows, cols)).collect();
+            let gs: Vec<Matrix> = (0..3).map(|_| oracle_input(&mut rng, rows, cols)).collect();
+            for (fwd, i) in ORACLE_SCHEDULE {
+                let label = format!("{rows}x{cols} {}{i}", if fwd { "y" } else { "dx" });
+                if fwd {
+                    assert_same_bits(&label, &layer.forward(&xs[i]), &xs[i].map(ref_gelu));
+                } else {
+                    let want = gs[i].hadamard(&xs[i].map(ref_dgelu));
+                    assert_same_bits(&label, &layer.backward(&gs[i]), &want);
+                }
+            }
+            assert_eq!(layer.pending_activations(), 0);
+        }
+    }
+
+    #[test]
+    fn layernorm_matches_index_based_oracle_bit_for_bit() {
+        let mut rng = SeedStream::new(17);
+        for (rows, cols) in ORACLE_SHAPES {
+            let mut layer = LayerNorm::new(cols);
+            let gamma = rng.uniform_matrix(1, cols, 2.0);
+            let beta = rng.uniform_matrix(1, cols, 1.0);
+            *layer.params()[0].value = gamma.clone();
+            *layer.params()[1].value = beta.clone();
+            let mut grad_gamma = Matrix::zeros(1, cols);
+            let mut grad_beta = Matrix::zeros(1, cols);
+            let mut caches = VecDeque::new();
+            let xs: Vec<Matrix> = (0..3).map(|_| oracle_input(&mut rng, rows, cols)).collect();
+            let gs: Vec<Matrix> = (0..3).map(|_| oracle_input(&mut rng, rows, cols)).collect();
+            for (fwd, i) in ORACLE_SCHEDULE {
+                let label = |what: &str| format!("{rows}x{cols} {what}{i}");
+                if fwd {
+                    let (y, xhat, inv_stds) = ref_ln_forward(&xs[i], &gamma, &beta, 1e-5);
+                    assert_same_bits(&label("y"), &layer.forward(&xs[i]), &y);
+                    caches.push_back((xhat, inv_stds));
+                } else {
+                    let cache = caches.pop_front().unwrap();
+                    let want =
+                        ref_ln_backward(&gs[i], &cache, &gamma, &mut grad_gamma, &mut grad_beta);
+                    assert_same_bits(&label("dx"), &layer.backward(&gs[i]), &want);
+                    let params = layer.params();
+                    assert_same_bits(&label("grad_gamma"), params[0].grad, &grad_gamma);
+                    assert_same_bits(&label("grad_beta"), params[1].grad, &grad_beta);
+                }
+            }
+            assert_eq!(layer.pending_activations(), 0);
+        }
     }
 
     #[test]

@@ -134,37 +134,48 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
+    // The accessors below (and `Index`/`IndexMut`) are `#[inline]` because
+    // non-generic functions are not inlined across crates without the hint,
+    // so callers' per-element loops would pay an out-of-line call each.
+
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
 
     /// `(rows, cols)` pair.
+    #[inline]
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
     /// Total number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
     /// Whether the matrix has zero elements.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
 
     /// Immutable view of the underlying row-major storage.
+    #[inline]
     pub fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
     /// Mutable view of the underlying row-major storage.
+    #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
@@ -179,6 +190,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
@@ -189,6 +201,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
+    #[inline]
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
         &mut self.data[r * self.cols..(r + 1) * self.cols]
@@ -442,6 +455,7 @@ impl Matrix {
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
+    #[inline]
     fn index(&self, (r, c): (usize, usize)) -> &f32 {
         assert!(
             r < self.rows && c < self.cols,
@@ -452,6 +466,7 @@ impl Index<(usize, usize)> for Matrix {
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
+    #[inline]
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f32 {
         assert!(
             r < self.rows && c < self.cols,
