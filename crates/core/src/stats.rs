@@ -2,6 +2,7 @@
 
 use opt_net::TrafficBreakdown;
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One validation measurement.
@@ -93,8 +94,11 @@ pub(crate) struct Collector {
 
 #[derive(Debug, Default)]
 struct CollectorInner {
-    /// (iter, loss) samples from last-stage workers, one per micro-batch.
-    train_samples: Vec<(u64, f32)>,
+    /// Training losses from last-stage workers (one per micro-batch),
+    /// grouped by iteration in arrival order. A map rather than a `Vec`
+    /// indexed by iteration, because merged remote samples carry
+    /// arbitrary iteration numbers.
+    train_samples: BTreeMap<u64, Vec<f32>>,
     /// (iter, loss) validation samples (dp rank 0's pipeline).
     val_samples: Vec<(u64, f32)>,
     error_stats: Vec<ErrorStatPoint>,
@@ -118,7 +122,12 @@ pub struct RawSamples {
 
 impl Collector {
     pub fn record_train(&self, iter: u64, loss: f32) {
-        self.inner.lock().train_samples.push((iter, loss));
+        self.inner
+            .lock()
+            .train_samples
+            .entry(iter)
+            .or_default()
+            .push(loss);
     }
 
     /// Snapshots the raw samples recorded so far (quiesce first: callers
@@ -126,7 +135,11 @@ impl Collector {
     pub fn raw_samples(&self) -> RawSamples {
         let inner = self.inner.lock();
         RawSamples {
-            train: inner.train_samples.clone(),
+            train: inner
+                .train_samples
+                .iter()
+                .flat_map(|(&i, ls)| ls.iter().map(move |&l| (i, l)))
+                .collect(),
             val: inner.val_samples.clone(),
             error_stats: inner.error_stats.clone(),
         }
@@ -135,7 +148,9 @@ impl Collector {
     /// Folds another worker's raw samples into this collector.
     pub fn absorb(&self, raw: &RawSamples) {
         let mut inner = self.inner.lock();
-        inner.train_samples.extend_from_slice(&raw.train);
+        for &(i, l) in &raw.train {
+            inner.train_samples.entry(i).or_default().push(l);
+        }
         inner.val_samples.extend_from_slice(&raw.val);
         inner.error_stats.extend_from_slice(&raw.error_stats);
     }
@@ -150,7 +165,7 @@ impl Collector {
     /// rejoin stays bit-identical to an uninterrupted run. Idempotent.
     pub fn truncate_from(&self, iter: u64) {
         let mut inner = self.inner.lock();
-        inner.train_samples.retain(|&(i, _)| i < iter);
+        inner.train_samples.split_off(&iter);
         inner.val_samples.retain(|&(i, _)| i < iter);
         inner.error_stats.retain(|p| p.iter < iter);
     }
@@ -161,30 +176,20 @@ impl Collector {
 
     /// Aggregates the raw samples into a [`TrainReport`].
     pub fn into_report(self, iters: u64, traffic: TrafficBreakdown) -> TrainReport {
-        // Read the samples in place: a copy of them would double the
-        // collector's footprint, which grows with every iteration trained.
-        let inner = self.inner.lock();
+        // Read (and sort) the samples in place: a copy of them would double
+        // the collector's footprint, which grows with every iteration trained.
+        let mut inner = self.inner.lock();
         // Samples arrive in thread-scheduling order; sort before summing
         // so the floating-point reduction is identical across runs. This
         // is what lets the checkpoint tests assert *bit-equal* losses
         // between a straight run and a kill/restore run.
-        let mean_sorted = |mut ls: Vec<f32>| -> f32 {
+        let mean_sorted = |ls: &mut [f32]| -> f32 {
             ls.sort_unstable_by(f32::total_cmp);
             ls.iter().sum::<f32>() / ls.len() as f32
         };
-        let mut train_loss = Vec::with_capacity(iters as usize);
-        for it in 0..iters {
-            let samples: Vec<f32> = inner
-                .train_samples
-                .iter()
-                .filter(|(i, _)| *i == it)
-                .map(|(_, l)| *l)
-                .collect();
-            if samples.is_empty() {
-                train_loss.push(f32::NAN);
-            } else {
-                train_loss.push(mean_sorted(samples));
-            }
+        let mut train_loss = vec![f32::NAN; iters as usize];
+        for (&it, ls) in inner.train_samples.range_mut(..iters) {
+            train_loss[it as usize] = mean_sorted(ls);
         }
         // Error stats arrive in thread-scheduling (or, multi-process,
         // rank-merge) order; each (iter, stage) subsequence comes from a
@@ -198,7 +203,7 @@ impl Collector {
         let val_points = val_iters
             .into_iter()
             .map(|it| {
-                let ls: Vec<f32> = inner
+                let mut ls: Vec<f32> = inner
                     .val_samples
                     .iter()
                     .filter(|(i, _)| *i == it)
@@ -206,7 +211,7 @@ impl Collector {
                     .collect();
                 ValPoint {
                     iter: it,
-                    loss: mean_sorted(ls),
+                    loss: mean_sorted(&mut ls),
                 }
             })
             .collect();
@@ -234,6 +239,57 @@ mod tests {
         assert_eq!(report.train_loss, vec![3.0, 1.0]);
         assert_eq!(report.val_points.len(), 1);
         assert!((report.final_val_ppl() - 0.5f32.exp()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn shuffled_cross_iteration_arrivals_give_the_same_report_bits() {
+        // Iterations 0, 1, 3 and 5 (5 is past the report); 2 and 4 have
+        // no samples. Magnitudes differ so the sum's bits depend on order.
+        let mut samples = Vec::new();
+        for it in [0u64, 1, 3, 5] {
+            for k in 0..7u64 {
+                let l = (1.0 + k as f32 * 0.37).powi(k as i32 % 4 * 5) * (it + 1) as f32;
+                samples.push((it, if k % 3 == 0 { -l } else { l }));
+            }
+        }
+        let want: Vec<u32> = (0..5u64)
+            .map(|it| {
+                let mut ls: Vec<f32> = samples
+                    .iter()
+                    .filter(|&&(i, _)| i == it)
+                    .map(|&(_, l)| l)
+                    .collect();
+                ls.sort_unstable_by(f32::total_cmp);
+                if ls.is_empty() {
+                    f32::NAN.to_bits()
+                } else {
+                    (ls.iter().sum::<f32>() / ls.len() as f32).to_bits()
+                }
+            })
+            .collect();
+        // Fisher-Yates with a fixed LCG: a cross-iteration arrival order.
+        let mut shuffled = samples.clone();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..shuffled.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            shuffled.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        assert_ne!(shuffled, samples);
+        // Half recorded directly, half merged from another worker.
+        let c = Collector::default();
+        let (local, remote) = shuffled.split_at(shuffled.len() / 2);
+        for &(i, l) in local {
+            c.record_train(i, l);
+        }
+        c.absorb(&RawSamples {
+            train: remote.to_vec(),
+            ..RawSamples::default()
+        });
+        let report = c.into_report(5, TrafficBreakdown::default());
+        let got: Vec<u32> = report.train_loss.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

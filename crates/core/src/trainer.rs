@@ -156,9 +156,11 @@ impl Trainer {
         let corpus = cfg.corpus();
         let mut handles = Vec::with_capacity(world_size);
         let mut cmd_txs = Vec::with_capacity(world_size);
-        for d in 0..dp {
-            // Every dp rank builds the identical pipeline (same seed).
-            let stages = Stage::build_pipeline(&cfg.model, pp, cfg.seed);
+        // Every dp rank holds the identical pipeline (same seed): build it
+        // once and clone it for the other replicas. A fresh pipeline has
+        // empty caches, so a clone is identical to a rebuild.
+        let replicas = vec![Stage::build_pipeline(&cfg.model, pp, cfg.seed); dp];
+        for (d, stages) in replicas.into_iter().enumerate() {
             for (s, stage) in stages.into_iter().enumerate() {
                 let (cmd_tx, cmd_rx) = unbounded();
                 let ctx = WorkerCtx {

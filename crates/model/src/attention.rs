@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 /// overwritten before use, so nothing here is model state (checkpoints
 /// ignore it). Eliminates the per-step allocations the seed code made for
 /// head slices, score matrices, and gradient temporaries.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct AttnScratch {
     qh: Matrix,
     kh: Matrix,
@@ -28,6 +28,7 @@ struct AttnScratch {
 }
 
 /// Per-forward cached tensors needed by the backward pass.
+#[derive(Clone)]
 struct AttnCache {
     x: Matrix,
     q: Matrix,
@@ -45,6 +46,7 @@ struct AttnCache {
 /// `[s*L, (s+1)*L)` form sequence `s` — the same folding Megatron-LM uses
 /// before its attention GEMMs. A causal mask forbids attending to future
 /// positions.
+#[derive(Clone)]
 pub struct MultiHeadAttention {
     hidden: usize,
     heads: usize,

@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 /// x ── LN ── Attention ── Dropout ──(+)── LN ── MLP(H→4H→H, GeLU) ── Dropout ──(+)── y
 /// └──────────────────────────────────┘ └──────────────────────────────────────────┘
 /// ```
+#[derive(Clone)]
 pub struct TransformerBlock {
     ln1: LayerNorm,
     attn: MultiHeadAttention,

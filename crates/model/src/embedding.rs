@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 /// the last stage calls [`Embedding::project`]/[`Embedding::backward_project`]
 /// on its own replica. Both accumulate into [`Embedding::grad`], which the
 /// runtime all-reduces (separately or fused, §6).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Embedding {
     table: Matrix,
     pos: Matrix,

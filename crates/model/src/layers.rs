@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 /// Fully-connected layer `y = x W + b`.
 ///
 /// `W` is `in_dim x out_dim`; inputs are `(batch*seq) x in_dim`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Linear {
     w: Matrix,
     b: Matrix,
@@ -92,7 +92,7 @@ impl Layer for Linear {
 
 /// Layer normalization over the feature (column) dimension with learned
 /// gain/bias, as used before attention and MLP in Megatron's block (Fig. 2).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LayerNorm {
     gamma: Matrix,
     beta: Matrix,
@@ -205,8 +205,11 @@ impl Layer for LayerNorm {
 ///
 /// Forward computes `gelu(x)` and `gelu'(x)` from one `tanh` per element
 /// and caches the derivative `dgelu(x)` (not `x`), so backward is a single
-/// Hadamard product.
-#[derive(Debug, Default)]
+/// Hadamard product. The `tanh` is the in-repo rational `tanh_approx`
+/// (at most 1e-6 absolute error), not libm's: it is built from IEEE
+/// `*`/`+`/`/` in one fixed order, so GELU has the same bits on every
+/// target, vector width and thread count.
+#[derive(Debug, Default, Clone)]
 pub struct Gelu {
     cache: VecDeque<Matrix>,
 }
@@ -221,7 +224,7 @@ impl Gelu {
     #[inline]
     fn gelu_and_grad(x: f32) -> (f32, f32) {
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        let t = (C * (x + 0.044715 * x * x * x)).tanh();
+        let t = tanh_approx(C * (x + 0.044715 * x * x * x));
         let sech2 = 1.0 - t * t;
         (
             0.5 * x * (1.0 + t),
@@ -232,11 +235,15 @@ impl Gelu {
 
 impl Layer for Gelu {
     fn forward(&mut self, x: &Matrix) -> Matrix {
-        let (y, d): (Vec<f32>, Vec<f32>) =
-            x.as_slice().iter().map(|&v| Self::gelu_and_grad(v)).unzip();
-        self.cache
-            .push_back(Matrix::from_vec(x.rows(), x.cols(), d));
-        Matrix::from_vec(x.rows(), x.cols(), y)
+        let mut y = Matrix::zeros(x.rows(), x.cols());
+        let mut d = Matrix::zeros(x.rows(), x.cols());
+        // Zipped fixed-length slices: this loop auto-vectorizes.
+        let outs = y.as_mut_slice().iter_mut().zip(d.as_mut_slice());
+        for ((yv, dv), &v) in outs.zip(x.as_slice()) {
+            (*yv, *dv) = Self::gelu_and_grad(v);
+        }
+        self.cache.push_back(d);
+        y
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
@@ -260,12 +267,51 @@ impl Layer for Gelu {
     }
 }
 
+/// `tanh(x)` as a clamped odd rational `p(x) / q(x²)` (the form of
+/// Eigen's `generic_fast_tanh_float`, degree 13 over degree 6), with at
+/// most 1e-6 absolute error against the exact `tanh`.
+///
+/// Only f32 `*`, `+`, `/`, `clamp`, `abs` and selects, in one fixed order
+/// and without `mul_add`: Rust never contracts these into FMAs, so the bits
+/// do not depend on arch, vector width or target features. `|x| < 4e-4`
+/// returns `x` (which keeps `±0.0`), `|x| >= 9` returns exactly `±1.0`, and
+/// NaN stays NaN.
+#[inline]
+fn tanh_approx(x: f32) -> f32 {
+    const CLAMP: f32 = 7.998_811_7;
+    const A1: f32 = 4.893_524_6e-3;
+    const A3: f32 = 6.372_619_3e-4;
+    const A5: f32 = 1.485_722_4e-5;
+    const A7: f32 = 5.122_297e-8;
+    const A9: f32 = -8.604_672e-11;
+    const A11: f32 = 2.000_188e-13;
+    const A13: f32 = -2.760_768_5e-16;
+    const B0: f32 = 4.893_525e-3;
+    const B2: f32 = 2.268_434_6e-3;
+    const B4: f32 = 1.185_347_1e-4;
+    const B6: f32 = 1.198_258_4e-6;
+    let c = x.clamp(-CLAMP, CLAMP);
+    let c2 = c * c;
+    let p = c * ((((((A13 * c2 + A11) * c2 + A9) * c2 + A7) * c2 + A5) * c2 + A3) * c2 + A1);
+    let q = ((B6 * c2 + B4) * c2 + B2) * c2 + B0;
+    let r = p / q;
+    if x >= 9.0 {
+        1.0
+    } else if x <= -9.0 {
+        -1.0
+    } else if x.abs() < 4e-4 {
+        x
+    } else {
+        r
+    }
+}
+
 /// Inverted dropout with a deterministic seeded mask.
 ///
 /// With `p = 0.0` (the default for reproduction experiments) it is exactly
 /// the identity; the layer exists so the block structure matches the
 /// paper's Fig. 2.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
     rng: SeedStream,
@@ -438,19 +484,82 @@ mod tests {
         check_input_gradient(Gelu::new, 2, 5, 1e-2);
     }
 
+    #[test]
+    fn tanh_approx_is_within_1e_6_of_exact_tanh() {
+        let check = |x: f32| {
+            let err = (tanh_approx(x) as f64 - (x as f64).tanh()).abs();
+            assert!(err <= 1e-6, "tanh_approx({x:e}) off by {err:e}");
+        };
+        // Dense sweep of [-12, 12]: both saturation selects, the clamp and
+        // the whole rational.
+        let n = 1 << 21;
+        for i in 0..=n {
+            check(-12.0 + 24.0 * (i as f32 / n as f32));
+        }
+        // Every f32 within 2^16 ulps of 4e-4, both signs: where the
+        // `|x| < 4e-4` pass-through hands over to `p / q`.
+        let edge = 4e-4f32.to_bits();
+        for bits in edge - (1 << 16)..=edge + (1 << 16) {
+            let x = f32::from_bits(bits);
+            check(x);
+            check(-x);
+        }
+    }
+
+    #[test]
+    fn tanh_approx_is_bitwise_odd() {
+        let n = 1 << 16;
+        for i in 0..=n {
+            let x = 12.0 * (i as f32 / n as f32);
+            assert_eq!(
+                tanh_approx(-x).to_bits(),
+                (-tanh_approx(x)).to_bits(),
+                "x = {x:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn tanh_approx_special_values() {
+        assert_eq!(tanh_approx(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(tanh_approx(-0.0).to_bits(), (-0.0f32).to_bits());
+        for x in [9.0, 9.5, 12.0, 1e3, f32::MAX, f32::INFINITY] {
+            assert_eq!(tanh_approx(x), 1.0, "x = {x:e}");
+            assert_eq!(tanh_approx(-x), -1.0, "x = {x:e}");
+        }
+        // Just below the saturation select the rational is still below 1.
+        assert!(tanh_approx(8.999_999) < 1.0);
+        assert!(tanh_approx(f32::NAN).is_nan());
+    }
+
+    /// FNV-1a over the output bits at 4,096 fixed inputs spanning ±12: any
+    /// change to the coefficients, the evaluation order or the use of
+    /// fused multiply-adds changes GELU's bits and fails this digest.
+    #[test]
+    fn tanh_approx_golden_digest() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..4096 {
+            let x = (i as f32 - 2047.5) / 170.0;
+            for byte in tanh_approx(x).to_bits().to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x2c8e_34df_55aa_64a1, "tanh_approx digest {h:#018x}");
+    }
+
     // Reference implementations: index-based GeLU (value and derivative
     // each with their own `tanh`) and LayerNorm, written element by
     // element. The layers must match them bit for bit.
 
     fn ref_gelu(x: f32) -> f32 {
         const C: f32 = 0.797_884_6;
-        0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+        0.5 * x * (1.0 + tanh_approx(C * (x + 0.044715 * x * x * x)))
     }
 
     fn ref_dgelu(x: f32) -> f32 {
         const C: f32 = 0.797_884_6;
         let x3 = 0.044715 * x * x * x;
-        let t = (C * (x + x3)).tanh();
+        let t = tanh_approx(C * (x + x3));
         let sech2 = 1.0 - t * t;
         0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
     }

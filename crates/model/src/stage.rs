@@ -24,6 +24,7 @@ use opt_tensor::{Matrix, SeedStream};
 /// let logits = stages[1].forward_hidden(&h0);
 /// assert_eq!(logits.cols(), 32); // vocab
 /// ```
+#[derive(Clone)]
 pub struct Stage {
     index: usize,
     n_stages: usize,
